@@ -176,22 +176,91 @@ def _run_file_batch(args, paths: List[str]) -> int:
     return report.exit_code()
 
 
+#: Exploration state budget when ``--max-states`` is not given.
+DEFAULT_MAX_STATES = 1_000_000
+
+#: How each ``analyze`` path is named in option-guard errors.
+_ANALYZE_PATHS = {
+    "compose": "--compose",
+    "hier": "--hier",
+    "modal": "--modal",
+    "all-modes": "--all-modes",
+    "batch": "batch analysis (several files or --cache)",
+    "single": "single-model analysis",
+}
+
+#: Paths that run the explorer, and those that fan out over the pool.
+_EXPLORING = frozenset({"compose", "modal", "all-modes", "batch", "single"})
+_POOLED = _EXPLORING - {"single"}
+
+#: (flag, attribute, the analyze paths that read it).  A flag given on
+#: any other path is rejected rather than silently dropped.
+_ANALYZE_OPTIONS = (
+    ("--all-modes", "all_modes", frozenset({"compose", "hier", "all-modes"})),
+    ("--protocol", "protocol", frozenset({"modal"})),
+    ("--max-phasings", "max_phasings", frozenset({"modal"})),
+    ("--max-window", "max_window", frozenset({"hier", "modal"})),
+    ("--max-states", "max_states", _EXPLORING),
+    ("--jobs", "jobs", _POOLED),
+    ("--cache", "cache", _POOLED),
+    ("--cache-dir", "cache_dir", _POOLED),
+    ("--reduce", "reduce", _EXPLORING),
+    ("--portfolio", "portfolio", _EXPLORING),
+    ("--stats", "stats", frozenset(_ANALYZE_PATHS) - {"all-modes"}),
+    ("--baselines", "baselines", frozenset({"single"})),
+    ("--response-times", "response_times", frozenset({"single"})),
+)
+
+
+def _analyze_path(args) -> str:
+    """The path ``cmd_analyze`` takes, after rejecting (exit 2) every
+    given option that path would ignore."""
+    chosen = [
+        flag for flag in ("compose", "hier", "modal") if getattr(args, flag)
+    ]
+    if len(chosen) > 1:
+        raise ReproError(
+            f"--{chosen[0]} and --{chosen[1]} are separate analyses; "
+            "pick one"
+        )
+    if chosen:
+        path = chosen[0]
+    elif args.all_modes:
+        path = "all-modes"
+    elif len(args.files) > 1 or _cache_spec(args) is not None:
+        path = "batch"
+    else:
+        path = "single"
+    for flag, attr, paths in _ANALYZE_OPTIONS:
+        value = getattr(args, attr)
+        if path not in paths and value is not None and value is not False:
+            honoured = ", ".join(_ANALYZE_PATHS[p] for p in sorted(paths))
+            raise ReproError(
+                f"{flag} has no effect on {_ANALYZE_PATHS[path]}; "
+                f"it applies to: {honoured}"
+            )
+    return path
+
+
 def cmd_analyze(args) -> int:
     from repro.analysis import Verdict, analyze_model, compare_with_baselines
 
-    if getattr(args, "compose", False):
+    path = _analyze_path(args)
+    if args.max_states is None:
+        args.max_states = DEFAULT_MAX_STATES
+    if path == "compose":
         # Compositional analysis subsumes the batch path: islands fan
-        # out through the same pool/cache, so this branch comes first.
+        # out through the same pool/cache.
         return _run_compose(args)
-    if getattr(args, "hier", False):
+    if path == "hier":
         return _run_hier(args)
-    if getattr(args, "modal", False):
+    if path == "modal":
         return _run_modal(args)
-    if args.all_modes:
-        # Before the batch path: per-mode analysis runs its own pool
-        # fan-out (one job per mode), so --jobs/--cache belong to it.
+    if path == "all-modes":
+        # Per-mode analysis runs its own pool fan-out (one job per
+        # mode), so --jobs/--cache belong to it.
         return _run_all_modes(args)
-    if len(args.files) > 1 or _cache_spec(args) is not None:
+    if path == "batch":
         return _run_file_batch(args, args.files)
     args.file = args.files[0]
     model, instance = _load_instance(args)
@@ -257,7 +326,7 @@ def _run_modal(args) -> int:
     result = analyze_modal(
         model,
         args.root,
-        protocol=args.protocol,
+        protocol=args.protocol or "synchronous",
         quantum=_quantum(args),
         max_states=args.max_states,
         portfolio=getattr(args, "portfolio", False),
@@ -812,7 +881,8 @@ def build_parser() -> argparse.ArgumentParser:
             "the run",
         )
 
-    def common(p, needs_root=True, multi=False):
+    def common(p, needs_root=True, multi=False,
+               max_states=DEFAULT_MAX_STATES):
         if multi:
             p.add_argument(
                 "files",
@@ -837,8 +907,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-states",
             type=int,
-            default=1_000_000,
-            help="state budget for exploration",
+            default=max_states,
+            help="state budget for exploration "
+            f"(default {DEFAULT_MAX_STATES:,})",
         )
 
     p_analyze = sub.add_parser(
@@ -847,7 +918,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=EXIT_STATUS_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common(p_analyze, multi=True)
+    # No parser default: cmd_analyze must see whether --max-states was
+    # given before it fills in DEFAULT_MAX_STATES.
+    common(p_analyze, multi=True, max_states=None)
     pool_options(p_analyze)
     tracing_options(p_analyze)
     p_analyze.add_argument(
@@ -890,12 +963,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--protocol",
         choices=("synchronous", "asynchronous"),
-        default="synchronous",
-        help="mode-change protocol for --modal: synchronous defers the "
-        "switch to the old mode's hyperperiod boundary (steady "
-        "verdicts govern); asynchronous switches at any instant "
-        "(union analytic test, then exhaustive switch-phasing "
-        "transient simulation)",
+        default=None,
+        help="mode-change protocol for --modal (default synchronous): "
+        "synchronous defers the switch to the old mode's hyperperiod "
+        "boundary (steady verdicts govern); asynchronous switches at "
+        "any instant (union analytic test, then exhaustive "
+        "switch-phasing transient simulation)",
     )
     p_analyze.add_argument(
         "--max-phasings",

@@ -9,15 +9,24 @@ minimization.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.engine.budget import Budget
 from repro.engine.core import explore
 from repro.engine.result import ExplorationResult
 from repro.acsr.printer import format_label, format_term
 from repro.acsr.terms import Term
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class LTS:
@@ -130,6 +139,8 @@ class LTS:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export as a networkx multigraph with ``label`` edge attributes."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         graph.add_nodes_from(range(self.num_states))
         for state, name in self.state_names.items():

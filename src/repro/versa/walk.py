@@ -16,9 +16,7 @@ other search.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.engine.budget import Budget
 from repro.engine.core import explore
@@ -27,8 +25,11 @@ from repro.acsr.definitions import ClosedSystem
 from repro.acsr.terms import Term
 from repro.versa.traces import Step, Trace
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: A walk policy picks one transition among the enabled ones.
-Policy = Callable[[Sequence[Tuple[object, Term]], np.random.Generator], int]
+Policy = Callable[[Sequence[Tuple[object, Term]], "np.random.Generator"], int]
 
 
 def uniform_policy(
@@ -118,6 +119,8 @@ def multi_walk(
     differential oracle and the statistical smoke tests both rely on
     that determinism (pinned by ``tests/test_versa_walk_weak.py``).
     """
+    import numpy as np
+
     from repro.obs.tracer import current_tracer
 
     base = (
@@ -156,6 +159,8 @@ def walk_statistics(
     deep still counts, and a future early-stop reason cannot be
     miscounted as a deadlock.
     """
+    import numpy as np
+
     traces = multi_walk(
         system, walks=walks, max_steps=max_steps, seed=seed
     )

@@ -1,5 +1,7 @@
 """Tests of the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -260,6 +262,22 @@ def plant_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def heavy_plant_file(tmp_path):
+    from repro.aadl.gallery import fault_recovery_text
+
+    # Make the recovery workload heavy enough that the switch overlap
+    # misses even though each steady mode holds up on its own -- the
+    # verdict only the transition-aware analysis sees.
+    source = fault_recovery_text().replace(
+        "Compute_Execution_Time => 4 ms .. 4 ms;\n    Compute_Deadline => 16 ms;",
+        "Compute_Execution_Time => 8 ms .. 8 ms;\n    Compute_Deadline => 16 ms;",
+    )
+    path = tmp_path / "heavy.aadl"
+    path.write_text(source)
+    return str(path)
+
+
 class TestModalCli:
     def test_modal_synchronous(self, plant_file, capsys):
         assert main(["analyze", plant_file, "--modal"]) == 0
@@ -283,23 +301,12 @@ class TestModalCli:
         assert "transition(s) checked" in out
 
     def test_modal_unschedulable_transient_exit_one(
-        self, tmp_path, capsys
+        self, heavy_plant_file, capsys
     ):
-        from repro.aadl.gallery import fault_recovery_text
-
-        # Make the recovery workload heavy enough that the switch
-        # overlap misses even though each steady mode holds up on its
-        # own -- the verdict only the transition-aware analysis sees.
-        source = fault_recovery_text().replace(
-            "Compute_Execution_Time => 4 ms .. 4 ms;\n    Compute_Deadline => 16 ms;",
-            "Compute_Execution_Time => 8 ms .. 8 ms;\n    Compute_Deadline => 16 ms;",
-        )
-        path = tmp_path / "heavy.aadl"
-        path.write_text(source)
         assert (
             main(
                 [
-                    "analyze", str(path), "--modal",
+                    "analyze", heavy_plant_file, "--modal",
                     "--protocol", "asynchronous",
                 ]
             )
@@ -350,3 +357,83 @@ class TestModalCli:
             == 0
         )
         assert "schedulable" in capsys.readouterr().out
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+def _example(name: str) -> str:
+    return str(EXAMPLES / name)
+
+
+class TestAnalyzeOptionGuard:
+    """Every ``analyze`` option is honoured on the path the flags pick,
+    or rejected with exit 2 -- never silently dropped."""
+
+    @pytest.mark.parametrize(
+        "model, flags, named",
+        [
+            ("fault_recovery.aadl", ["--protocol", "asynchronous"],
+             "--protocol"),
+            ("fault_recovery.aadl", ["--all-modes", "--max-phasings", "4"],
+             "--max-phasings"),
+            ("cruise_control.aadl", ["--max-window", "50"], "--max-window"),
+            ("dual_island.aadl", ["--compose", "--max-window", "50"],
+             "--max-window"),
+            ("fault_recovery.aadl", ["--modal", "--compose"], "--compose"),
+            ("fault_recovery.aadl", ["--modal", "--all-modes"],
+             "--all-modes"),
+            ("arinc653.aadl", ["--hier", "--modal"], "--hier"),
+            ("arinc653.aadl", ["--hier", "--jobs", "2"], "--jobs"),
+            ("arinc653.aadl", ["--hier", "--cache"], "--cache"),
+            ("arinc653.aadl", ["--hier", "--reduce"], "--reduce"),
+            ("arinc653.aadl", ["--hier", "--max-states", "1000000"],
+             "--max-states"),
+            ("arinc653.aadl", ["--hier", "--portfolio"], "--portfolio"),
+            ("cruise_control.aadl", ["--jobs", "2"], "--jobs"),
+            ("fault_recovery.aadl", ["--all-modes", "--stats"], "--stats"),
+            ("dual_island.aadl", ["--compose", "--baselines"],
+             "--baselines"),
+            ("fault_recovery.aadl", ["--modal", "--response-times"],
+             "--response-times"),
+        ],
+    )
+    def test_dropped_option_is_usage_error(
+        self, model, flags, named, capsys
+    ):
+        assert main(["analyze", _example(model), *flags]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "verdict:" not in captured.out
+
+    def test_modal_compose_no_longer_hides_the_transient_miss(
+        self, heavy_plant_file, capsys
+    ):
+        """``--modal --compose`` used to run compose on the initial mode
+        only and exit 0 on a model whose transition misses."""
+        assert main(["analyze", heavy_plant_file, "--modal", "--compose"]) == 2
+        assert "pick one" in capsys.readouterr().err
+
+    def test_zero_valued_option_still_counts_as_given(self, capsys):
+        path = _example("cruise_control.aadl")
+        assert main(["analyze", path, "--max-window", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "model, flags, status",
+        [
+            ("dual_island.aadl", ["--compose", "--jobs", "2"], 0),
+            ("fault_recovery.aadl",
+             ["--modal", "--protocol", "asynchronous", "--stats"], 0),
+            ("arinc653.aadl", ["--hier", "--stats"], 0),
+            ("arinc653.aadl", ["--hier", "--max-window", "100000"], 0),
+            ("cruise_control.aadl", ["--portfolio", "--stats"], 0),
+            ("cruise_control.aadl", ["--max-states", "10"], 3),
+            ("fault_recovery.aadl", ["--all-modes", "--max-states", "500000"],
+             0),
+        ],
+    )
+    def test_honoured_combination_keeps_its_verdict(
+        self, model, flags, status, capsys
+    ):
+        assert main(["analyze", _example(model), *flags]) == status
+        assert capsys.readouterr().err.count("has no effect") == 0
