@@ -78,66 +78,95 @@ _CATEGORY_WORDS = {c.value for c in ComponentCategory} | {"virtual"}
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|--[^\n]*)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<op>::|\.\.|->|-\[|\]->|[=>(){};:,.])
+    ((?:\s|--[^\n]*)+)
+  | (\d+)
+  | ([A-Za-z_][A-Za-z0-9_]*)
+  | ("[^"\n]*")
+  | (::|\.\.|->|-\[|\]->|=>|[=>(){};:,.])
     """,
     re.VERBOSE,
 )
 
 
 class _Token:
-    __slots__ = ("kind", "text", "line", "column")
+    __slots__ = ("kind", "text", "lower", "line", "column")
 
     def __init__(self, kind: str, text: str, line: int, column: int) -> None:
         self.kind = kind
         self.text = text
+        self.lower = text.lower()
         self.line = line
         self.column = column
-
-    @property
-    def lower(self) -> str:
-        return self.text.lower()
 
     def __repr__(self) -> str:
         return f"_Token({self.kind}, {self.text!r})"
 
 
 def _tokenize(text: str) -> List[_Token]:
+    """Scan ``text`` in one pass; a character no token starts with
+    raises :class:`AadlSyntaxError` at its line and column.
+
+    ``findall`` yields one ``(ws, int, ident, string, op)`` tuple per
+    match, exactly one field set, so a token's offset is the length of
+    everything matched before it.  ``findall`` skips characters no
+    token starts with: the matches cover the text exactly when there
+    are none.
+    """
     tokens: List[_Token] = []
+    append = tokens.append
     pos = 0
     line = 1
     line_start = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            col = pos - line_start + 1
-            raise AadlSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        if match.lastgroup != "ws":
-            col = match.start() - line_start + 1
-            kind = match.lastgroup
-            tok_text = match.group()
-            # '=>' is tokenized as '=' '>' only if regex missed; ensure combined
-            tokens.append(_Token(kind, tok_text, line, col))  # type: ignore[arg-type]
-        newlines = match.group().count("\n")
-        if newlines:
-            line += newlines
-            line_start = match.start() + match.group().rfind("\n") + 1
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    for ws, number, ident, string, op in _TOKEN_RE.findall(text):
+        if ws:
+            newlines = ws.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + ws.rfind("\n") + 1
+            pos += len(ws)
+            continue
+        if ident:
+            kind, tok_text = "ident", ident
+        elif op:
+            kind, tok_text = "op", op
+        elif number:
+            kind, tok_text = "int", number
+        else:
+            kind, tok_text = "string", string
+        append(_Token(kind, tok_text, line, pos - line_start + 1))
+        pos += len(tok_text)
+    if pos != len(text):
+        raise _unexpected_character(text)
+    append(_Token("eof", "", line, pos - line_start + 1))
     return tokens
+
+
+def _unexpected_character(text: str) -> AadlSyntaxError:
+    """The error at the first character of ``text`` no token starts with."""
+    pos = 0
+    for match in _TOKEN_RE.finditer(text):
+        if match.start() != pos:
+            break
+        pos = match.end()
+    line_start = text.rfind("\n", 0, pos) + 1
+    return AadlSyntaxError(
+        f"unexpected character {text[pos]!r}",
+        text.count("\n", 0, pos) + 1,
+        pos - line_start + 1,
+    )
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.tokens = _merge_arrows(_tokenize(text))
+        self.tokens = _tokenize(text)
         self.index = 0
 
     def peek(self, offset: int = 0) -> _Token:
-        idx = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        # advance() never moves past eof, so only a lookahead can
+        # overrun the stream.
+        if offset:
+            return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index]
 
     def advance(self) -> _Token:
         token = self.tokens[self.index]
@@ -149,22 +178,24 @@ class _Parser:
         token = self.peek()
         return AadlSyntaxError(message, token.line, token.column)
 
+    # expect/accept/at take lowercase keywords and operators.
+
     def expect(self, text: str) -> _Token:
         token = self.peek()
-        if token.lower != text.lower():
+        if token.lower != text:
             raise self.error(
                 f"expected {text!r}, found {token.text or '<eof>'!r}"
             )
         return self.advance()
 
     def accept(self, text: str) -> bool:
-        if self.peek().lower == text.lower():
+        if self.peek().lower == text:
             self.advance()
             return True
         return False
 
     def at(self, text: str) -> bool:
-        return self.peek().lower == text.lower()
+        return self.peek().lower == text
 
     def expect_ident(self) -> str:
         token = self.peek()
@@ -502,27 +533,6 @@ def _typed_enum(prop_name: str, text: str):
     if text.lower() == "false":
         return False
     return text
-
-
-def _merge_arrows(tokens: List[_Token]) -> List[_Token]:
-    """Combine '=' '>' into '=>' (regex keeps them separate)."""
-    merged: List[_Token] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if (
-            tok.text == "="
-            and i + 1 < len(tokens)
-            and tokens[i + 1].text == ">"
-            and tokens[i + 1].column == tok.column + 1
-            and tokens[i + 1].line == tok.line
-        ):
-            merged.append(_Token("op", "=>", tok.line, tok.column))
-            i += 2
-            continue
-        merged.append(tok)
-        i += 1
-    return merged
 
 
 def parse_model(text: str) -> DeclarativeModel:

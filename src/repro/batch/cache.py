@@ -25,6 +25,12 @@ from the task list (provenance -- generator name, seed, case id --
 cannot split it either).  The options half holds exactly the knobs
 that can change a verdict: state budget, quantum, injected fault.
 
+:func:`~repro.batch.run_batch` parses each job's source once per call:
+the model it keys the job with is the one a miss executes on the
+inline path (pool workers parse their own copy).  That sharing changes
+no key -- the canonical text is the same printed model -- so entries
+written before it keep hitting under the same schema version.
+
 Invalidation rules
 ------------------
 
@@ -60,12 +66,17 @@ CACHE_SCHEMA_VERSION = 1
 DEFAULT_CACHE_DIR = os.path.join("artifacts", "cache")
 
 
-def cache_key(job) -> str:
-    """Content hash of one :class:`~repro.batch.jobs.AnalysisJob`."""
+def cache_key(job, parsed=None) -> str:
+    """Content hash of one :class:`~repro.batch.jobs.AnalysisJob`.
+
+    ``parsed`` is the job's :meth:`~repro.batch.jobs.AnalysisJob.parse`
+    result when the caller already holds it; the key is the same either
+    way.
+    """
     material = {
         "schema": CACHE_SCHEMA_VERSION,
         "kind": job.kind,
-        "model": job.canonical_model_text(),
+        "model": job.canonical_model_text(parsed),
         "options": {key: job.options[key] for key in sorted(job.options)},
     }
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"))

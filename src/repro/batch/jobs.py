@@ -46,14 +46,25 @@ the pool with independently cached verdicts per mode.
 
 All kinds expose :meth:`AnalysisJob.canonical_model_text`, the
 model-side half of the persistent verdict-cache key (see
-:mod:`repro.batch.cache`).
+:mod:`repro.batch.cache`).  Every kind but ``case`` carries AADL source;
+:meth:`AnalysisJob.parse` turns it into a :data:`Parsed` pair that a
+caller keying and executing the same job (:func:`repro.batch.run_batch`)
+hands to both, so the source is parsed once.  The pair is never kept on
+the job: jobs outlive their execution (:mod:`repro.serve` keeps every
+one it accepted), models must not.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.errors import BatchError, ReproError
+
+if TYPE_CHECKING:
+    from repro.aadl.components import DeclarativeModel
+
+#: A job's parsed source: ``(model, root implementation name)``.
+Parsed = Tuple["DeclarativeModel", str]
 
 JOB_KINDS = ("aadl", "case", "island", "portfolio", "hier", "modal")
 
@@ -441,9 +452,21 @@ class AnalysisJob:
             options=data.get("options", {}),
         )
 
-    # -- cache-key material ---------------------------------------------
+    # -- parsing and cache-key material ---------------------------------
 
-    def canonical_model_text(self) -> str:
+    def parse(self) -> Parsed:
+        """Parse the AADL source of a non-``case`` job: the model and
+        its root implementation (given, or :func:`~repro.aadl.infer_root`).
+
+        Keying and execution only read the model, so one parse may
+        serve both; the caller drops it when the job is done.
+        """
+        from repro.aadl import infer_root, parse_model
+
+        model = parse_model(self.payload["source"])
+        return model, self.payload.get("root") or infer_root(model)
+
+    def canonical_model_text(self, parsed: Optional[Parsed] = None) -> str:
         """The canonical AADL text of the instantiated model under test.
 
         Round-tripping through the parser/printer (``aadl`` jobs) or
@@ -451,16 +474,16 @@ class AnalysisJob:
         formatting, comments and provenance, so two inputs that denote
         the same model share a cache key and any semantic change breaks
         it.  The inferred root is resolved here, making the key
-        independent of whether the caller spelled it out.
+        independent of whether the caller spelled it out.  ``parsed``
+        is this job's :meth:`parse` result, when the caller has one.
         """
         if self.kind == "case":
             from repro.oracle.case import OracleCase
 
             return OracleCase.from_dict(self.payload["case"]).aadl_text()
-        from repro.aadl import format_model, infer_root, parse_model
+        from repro.aadl import format_model
 
-        model = parse_model(self.payload["source"])
-        root = self.payload.get("root") or infer_root(model)
+        model, root = parsed or self.parse()
         header = f"-- root: {root}\n"
         if self.kind == "island":
             members = ",".join(sorted(self.payload.get("threads", ())))
@@ -582,8 +605,14 @@ class JobResult:
         return f"JobResult({self.job_id!r}, {self.verdict}{extra})"
 
 
-def execute_job(job: AnalysisJob) -> JobResult:
+def execute_job(
+    job: AnalysisJob, parsed: Optional[Parsed] = None
+) -> JobResult:
     """Run one job to completion in the current process.
+
+    ``parsed`` is the job's :meth:`~AnalysisJob.parse` result when the
+    caller already holds it (:func:`repro.batch.run_batch` keyed the
+    job with it); otherwise the runner parses the source itself.
 
     *Any* exception is captured as a ``verdict="error"`` result rather
     than raised, so neither a malformed model (:class:`ReproError`) nor
@@ -605,16 +634,9 @@ def execute_job(job: AnalysisJob) -> JobResult:
                 _apply_batch_fault(fault)
             if job.kind == "case":
                 result = _execute_case(job)
-            elif job.kind == "island":
-                result = _execute_island(job)
-            elif job.kind == "portfolio":
-                result = _execute_portfolio(job)
-            elif job.kind == "hier":
-                result = _execute_hier(job)
-            elif job.kind == "modal":
-                result = _execute_modal(job)
             else:
-                result = _execute_aadl(job)
+                runner = _SOURCE_RUNNERS[job.kind]
+                result = runner(job, parsed or job.parse())
         except ReproError as exc:
             span.set(verdict="error")
             return JobResult(
@@ -640,13 +662,12 @@ def execute_job(job: AnalysisJob) -> JobResult:
         return result
 
 
-def _execute_aadl(job: AnalysisJob) -> JobResult:
-    from repro.aadl import infer_root, instantiate, parse_model
+def _execute_aadl(job: AnalysisJob, parsed: Parsed) -> JobResult:
+    from repro.aadl import instantiate
     from repro.aadl.properties import TimeValue
     from repro.analysis import analyze_model
 
-    model = parse_model(job.payload["source"])
-    root = job.payload.get("root") or infer_root(model)
+    model, root = parsed
     quantum_us = job.options.get("quantum_us")
     mode = job.options.get("mode")
     result = analyze_model(
@@ -672,14 +693,13 @@ def _execute_aadl(job: AnalysisJob) -> JobResult:
     )
 
 
-def _execute_portfolio(job: AnalysisJob) -> JobResult:
-    from repro.aadl import infer_root, instantiate, parse_model
+def _execute_portfolio(job: AnalysisJob, parsed: Parsed) -> JobResult:
+    from repro.aadl import instantiate
     from repro.aadl.properties import TimeValue
     from repro.portfolio import PortfolioAnalyzer, analyze_portfolio
     from repro.portfolio.tiers import tiers_from_token
 
-    model = parse_model(job.payload["source"])
-    root = job.payload.get("root") or infer_root(model)
+    model, root = parsed
     quantum_us = job.options.get("quantum_us")
     mode = job.options.get("mode")
     analyzer = PortfolioAnalyzer(tiers_from_token(job.options.get("tiers")))
@@ -708,15 +728,14 @@ def _execute_portfolio(job: AnalysisJob) -> JobResult:
     )
 
 
-def _execute_island(job: AnalysisJob) -> JobResult:
-    from repro.aadl import infer_root, instantiate, parse_model, slice_instance
+def _execute_island(job: AnalysisJob, parsed: Parsed) -> JobResult:
+    from repro.aadl import instantiate, slice_instance
     from repro.aadl.properties import TimeValue
     from repro.analysis import analyze_model
     from repro.errors import ComposeError
     from repro.obs.tracer import current_tracer
 
-    model = parse_model(job.payload["source"])
-    root = job.payload.get("root") or infer_root(model)
+    model, root = parsed
     mode = job.options.get("mode")
     instance = instantiate(
         model, root, mode_overrides={root: mode} if mode else None
@@ -780,14 +799,13 @@ def _execute_island(job: AnalysisJob) -> JobResult:
     )
 
 
-def _execute_hier(job: AnalysisJob) -> JobResult:
-    from repro.aadl import infer_root, instantiate, parse_model
+def _execute_hier(job: AnalysisJob, parsed: Parsed) -> JobResult:
+    from repro.aadl import instantiate
     from repro.aadl.properties import TimeValue
     from repro.hier import DEFAULT_MAX_WINDOW, analyze_hier
     from repro.translate.quantum import TimingQuantizer
 
-    model = parse_model(job.payload["source"])
-    root = job.payload.get("root") or infer_root(model)
+    model, root = parsed
     quantum_us = job.options.get("quantum_us")
     result = analyze_hier(
         instantiate(model, root),
@@ -812,8 +830,7 @@ def _execute_hier(job: AnalysisJob) -> JobResult:
     )
 
 
-def _execute_modal(job: AnalysisJob) -> JobResult:
-    from repro.aadl import infer_root, parse_model
+def _execute_modal(job: AnalysisJob, parsed: Parsed) -> JobResult:
     from repro.aadl.properties import TimeValue
     from repro.modal import analyze_modal
     from repro.modal.transient import (
@@ -821,8 +838,7 @@ def _execute_modal(job: AnalysisJob) -> JobResult:
         DEFAULT_TRANSIENT_WINDOW,
     )
 
-    model = parse_model(job.payload["source"])
-    root = job.payload.get("root") or infer_root(model)
+    model, root = parsed
     quantum_us = job.options.get("quantum_us")
     result = analyze_modal(
         model,
@@ -873,3 +889,13 @@ def _execute_case(job: AnalysisJob) -> JobResult:
         classification=classification.to_dict(),
         oracles=[oracle.to_dict() for oracle in oracles],
     )
+
+
+#: Runners of the kinds that carry AADL source, keyed by job kind.
+_SOURCE_RUNNERS = {
+    "aadl": _execute_aadl,
+    "island": _execute_island,
+    "portfolio": _execute_portfolio,
+    "hier": _execute_hier,
+    "modal": _execute_modal,
+}

@@ -17,6 +17,11 @@
    with verdict-cache hit/miss counters folded in;
 5. writes freshly computed results back to the cache.
 
+Each job's AADL source is parsed once per call: the model that keys a
+job is handed to :func:`~repro.batch.jobs.execute_job` when the miss
+runs inline, and dropped before a pool run (workers parse their own
+copy).  No parsed model outlives the call.
+
 Crash safety: a worker that *raises* is already contained inside
 :func:`~repro.batch.jobs.execute_job` (any exception becomes a
 ``verdict="error"`` result), and a worker that *dies* -- SIGKILL, OOM
@@ -48,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.engine.stats import EngineStats
 from repro.errors import BatchError, ReproError
 from repro.batch.cache import VerdictCache, cache_key, resolve_cache
-from repro.batch.jobs import AnalysisJob, JobResult, execute_job
+from repro.batch.jobs import AnalysisJob, JobResult, Parsed, execute_job
 
 #: Progress callback: ``(done, total, result)`` after every job.
 ProgressFn = Callable[[int, int, JobResult], None]
@@ -306,6 +311,10 @@ def run_batch(
     primary_of: Dict[str, int] = {}
     duplicates: Dict[int, List[int]] = {}
     pending: List[int] = []
+    # Parsed sources of pending jobs that may still run inline: every
+    # one with a single worker, else only the first (a second pending
+    # job sends the batch to the pool).
+    models: Dict[int, Parsed] = {}
     done = 0
 
     def record(index: int, result: JobResult) -> None:
@@ -332,8 +341,11 @@ def run_batch(
             record(dup_index, dedupe_from(dup_index, result))
 
     for index, job in enumerate(jobs):
+        parsed: Optional[Parsed] = None
         try:
-            key = cache_key(job)
+            if job.kind != "case":
+                parsed = job.parse()
+            key = cache_key(job, parsed)
         except ReproError:
             # Unkeyable (malformed) jobs still run individually, so the
             # batch can report them as error results instead of
@@ -361,13 +373,16 @@ def run_batch(
                 record(index, hit)
                 continue
         pending.append(index)
+        if parsed is not None and (n_workers <= 1 or len(pending) == 1):
+            models[index] = parsed
 
     if len(pending) <= 1 or n_workers <= 1:
         # Inline path: jobs run in-process, so the parent tracer sees
         # their spans directly.
         for index in pending:
-            finish(index, execute_job(jobs[index]))
+            finish(index, execute_job(jobs[index], models.pop(index, None)))
     else:
+        models.clear()
         payloads = {index: jobs[index].to_dict() for index in pending}
         trace_dir: Optional[str] = None
         if tracer.enabled:

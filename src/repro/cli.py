@@ -154,7 +154,7 @@ def _run_file_batch(args, paths: List[str]) -> int:
             )
         else:
             modal = (
-                {"modal": True, "protocol": args.protocol}
+                {"modal": True, "protocol": args.protocol or "synchronous"}
                 if getattr(args, "modal", False)
                 else {}
             )
@@ -685,6 +685,11 @@ def cmd_oracle_portfolio(args) -> int:
 
 
 def cmd_batch_run(args) -> int:
+    if args.protocol is not None and not args.modal:
+        raise ReproError(
+            "--protocol has no effect on batch run without --modal; "
+            "it applies to: --modal"
+        )
     return _run_file_batch(args, args.files)
 
 
@@ -1096,8 +1101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch_run.add_argument(
         "--protocol",
         choices=("synchronous", "asynchronous"),
-        default="synchronous",
-        help="mode-change protocol for --modal jobs",
+        help="mode-change protocol for --modal jobs (default synchronous)",
     )
     portfolio_options(p_batch_run)
     reduce_options(p_batch_run)

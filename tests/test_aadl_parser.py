@@ -1,5 +1,8 @@
 """Tests of the textual AADL parser and printer round-trip."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.errors import AadlNameError, AadlSyntaxError
@@ -16,6 +19,7 @@ from repro.aadl import (
     parse_model,
 )
 from repro.aadl.features import AccessFeature, Port
+from repro.aadl.parser import _tokenize
 from repro.aadl.properties import ReferenceValue
 
 
@@ -307,3 +311,81 @@ class TestModeRoundTrip:
         assert format_model(on_disk) == format_model(
             parse_model(fault_recovery_text())
         )
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+#: SHA-256 over ``repr((kind, text, line, column))`` of every token
+#: (eof included) the tokenizer yields for each example model, recorded
+#: with the two-pass tokenizer (regex scan, then '=' '>' merging) that
+#: the one-pass scanner replaced.
+TOKEN_DIGESTS = {
+    "arinc653.aadl": (
+        322,
+        "26658a5bd6fc31468baa160cd1ddf415c4e9071aa14c925ec8643b5018593da7",
+    ),
+    "coupled_islands.aadl": (
+        263,
+        "625db101c79bbccbb9fa06d7b490a1bf74972d9ca5ca0dd26ebae73e7d94ea17",
+    ),
+    "cruise_control.aadl": (
+        598,
+        "d812a92ce1d04f154368797986df7857b8eba8a3bbaad7a797f3c20f7f69417c",
+    ),
+    "dual_island.aadl": (
+        262,
+        "b318a4cfa5f5d0743513c2f720f190f66d4de43720f0ab9fed44e2f878da978a",
+    ),
+    "fault_recovery.aadl": (
+        378,
+        "650466143d3c98fc35193fb88e284c8904b74ca9efe9a329fc1244102f87a172",
+    ),
+}
+
+
+class TestTokenizer:
+    def test_every_example_is_pinned(self):
+        assert sorted(p.name for p in EXAMPLES.glob("*.aadl")) == sorted(
+            TOKEN_DIGESTS
+        )
+
+    @pytest.mark.parametrize("name", sorted(TOKEN_DIGESTS))
+    def test_token_stream_digest(self, name):
+        tokens = _tokenize((EXAMPLES / name).read_text())
+        digest = hashlib.sha256()
+        for token in tokens:
+            digest.update(
+                repr(
+                    (token.kind, token.text, token.line, token.column)
+                ).encode()
+            )
+        assert (len(tokens), digest.hexdigest()) == TOKEN_DIGESTS[name]
+
+    @pytest.mark.parametrize(
+        "source, line, column, message",
+        [
+            # stray character after a run of comment lines
+            (
+                "thread T\n  -- a comment\n  -- another one\n"
+                "  properties ?\nend T;",
+                4, 14, "unexpected character '?'",
+            ),
+            # unterminated string (strings cannot span lines)
+            (
+                'thread T\n  properties\n    Source_Text => "abc;\nend T;',
+                3, 20, "unexpected character '\"'",
+            ),
+            # '=' and '>' form '=>' only when adjacent
+            (
+                "thread T\n  properties\n    Period = > 20 ms;\nend T;",
+                3, 12, "expected '=>', found '='",
+            ),
+            # bad last character
+            ("thread T\nend T;\n@", 3, 1, "unexpected character '@'"),
+        ],
+    )
+    def test_syntax_error_position(self, source, line, column, message):
+        with pytest.raises(AadlSyntaxError) as info:
+            parse_model(source)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value) == f"line {line}, column {column}: {message}"

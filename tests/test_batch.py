@@ -112,6 +112,100 @@ class TestCacheKey:
         assert a != b
 
 
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "examples")
+
+#: ``cache_key`` of each example's jobs, recorded before run_batch began
+#: sharing one parse between keying and execution: the canonical text
+#: did not change, so entries already on disk keep hitting under
+#: CACHE_SCHEMA_VERSION 1.
+GOLDEN_KEYS = {
+    ("aadl", "arinc653.aadl"):
+        "9eceec6eeb2a279b5ea7d456a84d4644f5df38ab0109e9f5b86e28405641951f",
+    ("portfolio", "arinc653.aadl"):
+        "a02db50bc14b3d46be35af0a8212b543770ee6fa141154a536ab26cdf631129a",
+    ("hier", "arinc653.aadl"):
+        "9eb60c9ef964f01c65ed9c0f46c4fb03b44af9fb0c3ef77786c3a556984841c1",
+    ("aadl", "coupled_islands.aadl"):
+        "adb57fc390ca32276626d4528242427639728d8f74f84a0ab12da3324348404f",
+    ("portfolio", "coupled_islands.aadl"):
+        "27a1c46715eb8a9e42fd645844b188031b9820fa832afd9847fba67a22d3e11b",
+    ("aadl", "cruise_control.aadl"):
+        "4d9dbd07b5dcd2f3a720de7c2d1ef77b4dd8f2bad020aee1dcacf5836c95d98a",
+    ("portfolio", "cruise_control.aadl"):
+        "65ccab2abe598769caad4b9c0188f2518b57ce3b176560bf5420fabca202fd13",
+    ("aadl", "dual_island.aadl"):
+        "ce410793dc939c07355ca44f9692c122c67535461335e9acd40ebee1adbaa1fb",
+    ("portfolio", "dual_island.aadl"):
+        "8aa891825fc9ab1070e5cb3d6f64a8806c2b8a0b509b7ce465513349b90bec8e",
+    ("aadl", "fault_recovery.aadl"):
+        "bd353e118675dfc3fa2efceccee3534ec2ae05e20465ee2bb9b029fad6620f16",
+    ("portfolio", "fault_recovery.aadl"):
+        "d521eded0a9e11c4f3405b129d0a735f9050ced285e961f54e3e4c48057014e1",
+    ("modal", "fault_recovery.aadl"):
+        "527c903342981781dc90598493e8119a03560aa31613417be79030d83c1dc675",
+}
+
+
+def _example_job(kind, name):
+    with open(os.path.join(EXAMPLES, name), "r", encoding="utf-8") as handle:
+        source = handle.read()
+    return getattr(AnalysisJob, f"from_{kind}")(source)
+
+
+def _parse_spans(tracer):
+    return [span for span in tracer.spans if span.name == "aadl.parse"]
+
+
+class TestParseOnce:
+    """run_batch parses each job's source once; keys do not change."""
+
+    def test_every_example_has_golden_keys(self):
+        names = {name for _, name in GOLDEN_KEYS}
+        assert names == {n for n in os.listdir(EXAMPLES) if n.endswith(".aadl")}
+
+    @pytest.mark.parametrize("kind, name", sorted(GOLDEN_KEYS))
+    def test_golden_cache_key(self, kind, name):
+        job = _example_job(kind, name)
+        assert CACHE_SCHEMA_VERSION == 1
+        assert cache_key(job) == GOLDEN_KEYS[(kind, name)]
+        assert cache_key(job, job.parse()) == GOLDEN_KEYS[(kind, name)]
+
+    @pytest.mark.parametrize("kind, name", sorted(GOLDEN_KEYS))
+    def test_execution_leaves_the_shared_model_unchanged(self, kind, name):
+        job = _example_job(kind, name)
+        parsed = job.parse()
+        execute_job(job, parsed)
+        assert cache_key(job, parsed) == GOLDEN_KEYS[(kind, name)]
+
+    def test_inline_miss_and_hit_each_parse_once(self, tmp_path):
+        from repro.obs import Tracer, activate
+
+        store = VerdictCache(str(tmp_path / "cache"))
+        job = _example_job("portfolio", "cruise_control.aadl")
+        for expect_cached in (False, True):
+            tracer = Tracer()
+            with activate(tracer):
+                result = run_batch([job], workers=1, cache=store).results[0]
+            assert result.cached is expect_cached
+            assert result.verdict == "schedulable"
+            assert len(_parse_spans(tracer)) == 1
+
+    def test_uncached_batch_parses_each_job_once(self):
+        from repro.obs import Tracer, activate
+
+        jobs = [
+            _example_job("aadl", "cruise_control.aadl"),
+            _example_job("hier", "arinc653.aadl"),
+        ]
+        tracer = Tracer()
+        with activate(tracer):
+            report = run_batch(jobs, workers=1)
+        assert [r.verdict for r in report.results] == [
+            "schedulable", "schedulable",
+        ]
+        assert len(_parse_spans(tracer)) == 2
+
+
 class TestVerdictCache:
     def test_miss_then_hit(self, tmp_path):
         store = VerdictCache(str(tmp_path / "cache"))

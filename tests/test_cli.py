@@ -358,6 +358,30 @@ class TestModalCli:
         )
         assert "schedulable" in capsys.readouterr().out
 
+    def test_batch_run_protocol_without_modal_is_usage_error(
+        self, cc_file, capsys
+    ):
+        args = [
+            "batch", "run", cc_file, "--protocol", "asynchronous",
+            "--jobs", "1",
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "--protocol has no effect" in captured.err
+        assert "verdicts:" not in captured.out
+
+    def test_batch_run_modal_protocol_defaults_to_synchronous(
+        self, plant_file, tmp_path, capsys
+    ):
+        base = [
+            "batch", "run", plant_file, "--modal", "--jobs", "1",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main([*base, "--protocol", "synchronous"]) == 0
+        capsys.readouterr()
+        assert main(base) == 0
+        assert "1 hits / 0 misses" in capsys.readouterr().out
+
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
